@@ -293,10 +293,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for n in payload["shard_counts"]:
         f = payload["fleets"][str(n)]
-        lo, hi = f["qps_ci"]
+        # an unbounded end of the CI is stored as None
+        lo, hi = (
+            "inf" if x is None else f"{x:.1f}" for x in f["qps_ci"]
+        )
         print(
             f"{n} shard(s): {f['qps']:.1f} qps "
-            f"(ci [{lo:.1f}, {hi:.1f}], "
+            f"(ci [{lo}, {hi}], "
             f"{f['timing']['repeats']} batches, "
             f"converged={f['timing']['converged']}) "
             f"routing={f['routing']}"

@@ -122,9 +122,7 @@ def run_refresh_phase(
 
             def one_replay() -> float:
                 t0 = time.perf_counter()
-                result = sub.delta_plan.execute_full(
-                    svc._pinned_catalog(marks), session.dictionary
-                )
+                result = sub.delta_plan.execute_pinned(session, marks)
                 out = result.collect()
                 elapsed = time.perf_counter() - t0
                 replay_out[:] = [out]

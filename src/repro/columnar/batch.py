@@ -100,7 +100,7 @@ class Column:
         data = self.data
         validity = self.validity
         gathered = map(data.__getitem__, indices)
-        if self.kind in ("f", "q"):
+        if self.kind in ("f", "q", "dict"):
             out = array(data.typecode, gathered)
         else:
             out = list(gathered)

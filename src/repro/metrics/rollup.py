@@ -44,37 +44,11 @@ from repro.metrics.compute import (
     metric_partials,
 )
 from repro.metrics.derive import BucketTime, RollupAggregate
-from repro.rdd.rdd import ScanRDD
 from repro.rdd.stats import RollupDecision
 from repro.stream import DeltaPlan
 from repro.units.temporal import Timestamp
 
 _STORE_KEYSPACE = "rollups"
-
-
-def pinned_catalog(session, watermarks: Dict[str, int]
-                   ) -> Dict[str, ScrubJayDataset]:
-    """The session catalog with each feed dataset in ``watermarks``
-    swapped for a frozen snapshot bounded at its watermark (the
-    serve layer's no-mixed-watermark rule, session-side)."""
-    catalog = session.snapshot()
-    for name, mark in watermarks.items():
-        feed = session.feeds.get(name)
-        if feed is None:
-            continue
-        src = feed.source.bounded(mark)
-        src.name = name
-        ds = ScrubJayDataset(
-            ScanRDD(session.ctx, src),
-            src.schema(),
-            name,
-            provenance={"op": "scan",
-                        "source": type(src).__name__,
-                        "name": name, "bounded_at": mark},
-        )
-        ds.source = src
-        catalog[name] = ds
-    return catalog
 
 
 def rows_from_state(
@@ -139,10 +113,7 @@ class Rollup:
         )
         self.plan = DerivationPlan(node)
         self.delta_plan = DeltaPlan(self.base_plan)
-        self.feed_names = tuple(
-            n for n in self.base_plan.dataset_names()
-            if n in session.feeds
-        )
+        self.feed_names = self.delta_plan.feed_names(session)
 
     # -- materialization ----------------------------------------------
 
@@ -154,12 +125,7 @@ class Rollup:
             marks = {
                 n: session.feeds[n].watermark for n in self.feed_names
             }
-            base = self.delta_plan.execute_full(
-                pinned_catalog(session, marks),
-                session.dictionary,
-                columnar=session.engine.config.columnar,
-                columnar_off=session.engine.config.columnar_off_ops,
-            )
+            base = self.delta_plan.execute_pinned(session, marks)
             self.state = metric_partials(base, self.query)
             self.watermarks = marks
             self._publish()
@@ -281,68 +247,31 @@ class Rollup:
     # -- freshness (the PR-8 incremental-refresh path) -----------------
 
     def refresh(self) -> Dict[str, Any]:
-        """Bring the rollup to its feeds' current watermarks —
-        incrementally (delta partials merged into the standing state)
-        when the base plan is delta-safe, by scoped replay otherwise —
+        """Bring the rollup to its feeds' current watermarks through
+        one :meth:`~repro.stream.DeltaPlan.refresh` round — delta
+        partials merged into the standing state when the base plan is
+        delta-safe, the state replaced by a scoped replay otherwise —
         then republish the table."""
-        session = self.session
         with self._lock:
-            base = dict(self.watermarks)
-            targets = dict(base)
-            changed = set()
-            for n in self.feed_names:
-                feed = session.feeds.get(n)
-                if feed is None:
-                    continue
-                targets[n] = feed.watermark
-                if targets[n] != base.get(n):
-                    changed.add(n)
-            if not changed:
-                return {"name": self.name, "refreshed": False}
-            mode, decisions = self.delta_plan.classify(changed)
-            self.delta_plan.record(
-                getattr(session.ctx, "report", None), decisions
+            rnd = self.delta_plan.refresh(
+                self.session, self.feed_names, self.watermarks
             )
-            if mode == "delta":
-                deltas: Dict[str, ScrubJayDataset] = {}
-                for n in sorted(changed):
-                    feed = session.feeds[n]
-                    rows, _ = feed.source.append_scan(
-                        base.get(n, 0), targets[n]
-                    )
-                    deltas[n] = ScrubJayDataset.from_rows(
-                        session.ctx, rows,
-                        session.dataset(n).schema, n,
-                    )
-                pinned = {
-                    n: base[n] for n in self.feed_names
-                    if n not in changed and n in base
-                }
-                result = self.delta_plan.execute_delta(
-                    pinned_catalog(session, pinned), deltas,
-                    session.dictionary,
-                    columnar=session.engine.config.columnar,
-                    columnar_off=session.engine.config.columnar_off_ops,
-                )
-                part = metric_partials(result, self.query)
+            if rnd is None:
+                return {"name": self.name, "refreshed": False}
+            part = metric_partials(rnd.dataset, self.query)
+            if rnd.mode == "delta":
                 merge_metric_partials(self.state, part, self.query)
                 self.delta_refreshes += 1
             else:
-                result = self.delta_plan.execute_full(
-                    pinned_catalog(session, targets),
-                    session.dictionary,
-                    columnar=session.engine.config.columnar,
-                    columnar_off=session.engine.config.columnar_off_ops,
-                )
-                self.state = metric_partials(result, self.query)
-            self.watermarks = targets
+                self.state = part
+            self.watermarks = rnd.targets
             self.refreshes += 1
             self._publish()
             return {
                 "name": self.name,
                 "refreshed": True,
-                "mode": mode,
-                "watermarks": dict(targets),
+                "mode": rnd.mode,
+                "watermarks": dict(rnd.targets),
             }
 
     def __repr__(self) -> str:

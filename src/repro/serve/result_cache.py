@@ -191,12 +191,12 @@ class ResultCache:
         key: str,
         dataset: ScrubJayDataset,
         datasets: Optional[List[str]] = None,
-    ) -> None:
+    ) -> ResultEntry:
         """Materialize ``dataset`` under ``key`` (and write through to
-        the disk tier when configured). ``datasets`` names the catalog
-        inputs the producing plan read, so
-        :meth:`invalidate_dataset` can evict exactly the dependents of
-        an appended-to dataset."""
+        the disk tier when configured) and return the entry.
+        ``datasets`` names the catalog inputs the producing plan read,
+        so :meth:`invalidate_dataset` can evict exactly the dependents
+        of an appended-to dataset."""
         entry = ResultEntry(
             rows=dataset.collect(),
             schema_json=dataset.schema.to_json_dict(),
@@ -216,6 +216,7 @@ class ResultCache:
                     created_at_wall=self._wall(),
                 ),
             )
+        return entry
 
     def _insert(self, key: str, entry: ResultEntry) -> None:
         # caller holds self._lock

@@ -64,7 +64,6 @@ from repro.errors import (
     SubscriptionError,
 )
 from repro.rdd.fault import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.rdd.rdd import ScanRDD
 from repro.serve.keys import normalize_query, plan_key, result_key
 from repro.serve.metrics import ServiceMetrics, ServiceSnapshot
 from repro.serve.plan_cache import PlanCache
@@ -199,6 +198,19 @@ def as_query(
             )
         return query
     return Query.of(query, values, filters)
+
+
+def _standing_data(
+    dataset: ScrubJayDataset, aggregate: Optional[AggregateSpec]
+) -> Tuple[Any, Any]:
+    """A standing answer's ``(rows, partials)``: mergeable group
+    partials when ``aggregate`` is set, collected rows otherwise."""
+    if aggregate is None:
+        return dataset.collect(), None
+    return None, group_aggregate_partials(
+        dataset, list(aggregate.group_by),
+        aggregate.value_field, aggregate.how,
+    )
 
 
 class QueryTicket:
@@ -570,46 +582,6 @@ class QueryService:
     # standing subscriptions (the streaming serve tier)
     # ------------------------------------------------------------------
 
-    def _columnar(self) -> bool:
-        return bool(getattr(
-            getattr(self.session.engine, "config", None),
-            "columnar", False,
-        ))
-
-    def _columnar_off(self) -> tuple:
-        return tuple(getattr(
-            getattr(self.session.engine, "config", None),
-            "columnar_off_ops", (),
-        ))
-
-    def _pinned_catalog(
-        self, watermarks: Dict[str, int]
-    ) -> Dict[str, ScrubJayDataset]:
-        """The session catalog with each feed dataset in
-        ``watermarks`` swapped for a frozen snapshot bounded at its
-        watermark — execution against it can never observe rows a
-        concurrent writer appends mid-flight (the no-mixed-watermark
-        rule)."""
-        session = self.session
-        catalog = session.snapshot()
-        for name, mark in watermarks.items():
-            feed = session.feeds.get(name)
-            if feed is None:
-                continue
-            src = feed.source.bounded(mark)
-            src.name = name
-            ds = ScrubJayDataset(
-                ScanRDD(session.ctx, src),
-                src.schema(),
-                name,
-                provenance={"op": "scan",
-                            "source": type(src).__name__,
-                            "name": name, "bounded_at": mark},
-            )
-            ds.source = src
-            catalog[name] = ds
-        return catalog
-
     def _solve_serve_plan(self, nq: Query):
         """Solve a normalized query for the serve tier: the engine
         answers the base relation; a metric query's grain rides along
@@ -666,52 +638,56 @@ class QueryService:
                 "a metric subscription derives its aggregate from "
                 "the measures; drop the AggregateSpec"
             )
-        state = session.state_fingerprint()
         nq = normalize_query(query)
-        pkey = plan_key(state, nq)
         plan = self.plan_cache.get_or_solve(
-            pkey, lambda: self._solve_serve_plan(nq)
+            plan_key(session.state_fingerprint(), nq),
+            lambda: self._solve_serve_plan(nq),
         )
         dplan = DeltaPlan(plan)
-        feed_names = tuple(
-            n for n in dplan.dataset_names() if n in session.feeds
+        feed_names = dplan.feed_names(session)
+        with self._subs_lock:
+            self._sub_counter += 1
+            sub_id = f"sub-{self._sub_counter}"
+        marks, schema, aggregate, rows, partials = self._initial_answer(
+            sub_id, query, tenant, dplan, feed_names, aggregate, partial
         )
-        marks = {
-            n: session.feeds[n].watermark for n in feed_names
-        }
-        dataset = dplan.execute_full(
-            self._pinned_catalog(marks),
-            session.dictionary,
-            columnar=self._columnar(),
-            columnar_off=self._columnar_off(),
+        sub = Subscription(
+            sub_id, tenant, query, plan, dplan, aggregate,
+            feed_names, marks, schema, rows=rows, partials=partials,
         )
+        with self._subs_lock:
+            self._subs[sub_id] = sub
+        reg = self.metrics.registry
+        if reg is not None:
+            reg.inc("stream.subscribe")
+        return sub
+
+    def _initial_answer(
+        self,
+        sub_id: str,
+        query: Query,
+        tenant: str,
+        dplan: DeltaPlan,
+        feed_names: Tuple[str, ...],
+        aggregate: Optional[AggregateSpec],
+        partial: bool,
+    ) -> Tuple[Dict[str, int], Any, Optional[AggregateSpec], Any, Any]:
+        """A new subscription's answer as ``(watermarks, schema,
+        aggregate, rows, partials)`` — the subscribe hook a
+        ShardRouter overrides to gather the answer from its fleet.
+        The base service runs the plan locally, pinned at the feeds'
+        current watermarks."""
+        session = self.session
+        marks = {n: session.feeds[n].watermark for n in feed_names}
+        dataset = dplan.execute_pinned(session, marks)
         if query.is_metric:
             # ``partial=True`` is the sharded fleet's mode: the shard
             # keeps mergeable partials and the router finalizes
             aggregate = AggregateSpec.for_metric_query(
                 dataset.schema, query, partial=partial
             )
-        rows = partials = None
-        if aggregate is not None:
-            partials = group_aggregate_partials(
-                dataset, list(aggregate.group_by),
-                aggregate.value_field, aggregate.how,
-            )
-        else:
-            rows = dataset.collect()
-        with self._subs_lock:
-            self._sub_counter += 1
-            sub_id = f"sub-{self._sub_counter}"
-            sub = Subscription(
-                sub_id, tenant, query, plan, dplan, aggregate,
-                feed_names, marks, dataset.schema,
-                rows=rows, partials=partials,
-            )
-            self._subs[sub_id] = sub
-        reg = getattr(session.ctx, "metrics", None)
-        if reg is not None:
-            reg.inc("stream.subscribe")
-        return sub
+        rows, partials = _standing_data(dataset, aggregate)
+        return marks, dataset.schema, aggregate, rows, partials
 
     def subscription(self, sub_id: str) -> Subscription:
         with self._subs_lock:
@@ -757,6 +733,7 @@ class QueryService:
         adv = feed.push(rows) if rows is not None else feed.advance()
         evicted = refreshed = 0
         if adv.advanced:
+            self._feed_advanced(name, adv)
             evicted = self.result_cache.invalidate_dataset(name)
             with self._subs_lock:
                 dependents = [
@@ -775,131 +752,60 @@ class QueryService:
             "subscriptions_refreshed": refreshed,
         }
 
+    def _feed_advanced(self, name: str, adv) -> None:
+        """Advance hook, run before eviction and refresh: a
+        ShardRouter routes the appended rows to its fleet here."""
+
     def _refresh_subscription(self, sub: Subscription) -> bool:
         """Bring one subscription to its feeds' current watermarks;
         True when at least one commit happened.
 
-        Runs under the subscription's refresh lock and loops: a feed
-        advancing *mid-refresh* just means another round — every
-        committed answer is internally consistent at its recorded
-        watermarks, so the race costs a retry, never a mixed-
-        watermark answer. A writer that outruns the refresher for 16
-        straight rounds raises :class:`StaleRefreshError` rather than
-        looping forever.
+        Each round is one :meth:`~repro.stream.DeltaPlan.refresh`,
+        folded into the standing answer (delta) or replacing it
+        (replay). Runs under the subscription's refresh lock and
+        loops: a feed advancing *mid-refresh* just means another round
+        — every committed answer is internally consistent at its
+        recorded watermarks, so the race costs a retry, never a
+        mixed-watermark answer. A writer that outruns the refresher
+        for 16 straight rounds raises :class:`StaleRefreshError`
+        rather than looping forever.
         """
-        session = self.session
-        reg = getattr(session.ctx, "metrics", None)
         committed = False
         with sub._refresh_lock:
             for _ in range(16):
                 if sub.closed:
                     return committed
-                base = dict(sub.watermarks)
-                targets = dict(base)
-                changed = set()
-                for n in sub.feed_names:
-                    feed = session.feeds.get(n)
-                    if feed is None:
-                        continue
-                    targets[n] = feed.watermark
-                    if targets[n] != base.get(n):
-                        changed.add(n)
-                if not changed:
-                    return committed
-                mode, decisions = sub.delta_plan.classify(changed)
-                sub.delta_plan.record(
-                    getattr(session.ctx, "report", None), decisions
+                rnd = sub.delta_plan.refresh(
+                    self.session, sub.feed_names, sub.watermarks
                 )
-                if mode == "delta":
-                    self._refresh_delta(sub, base, targets, changed)
-                else:
-                    self._refresh_replay(sub, targets)
+                if rnd is None:
+                    return committed
+                rows, partials = _standing_data(
+                    rnd.dataset, sub.aggregate
+                )
+                commit = (
+                    sub._commit_delta if rnd.mode == "delta"
+                    else sub._commit_replace
+                )
+                commit(rnd.targets, rows=rows, partials=partials)
                 committed = True
-                key = ("refresh_delta" if mode == "delta"
-                       else "refresh_replay")
-                with self._subs_lock:
-                    self._stream_stats[key] += 1
-                if reg is not None:
-                    reg.inc(
-                        "stream.refresh.delta" if mode == "delta"
-                        else "stream.refresh.replay"
-                    )
+                self._count_refresh(rnd.mode, rnd.delta_rows)
             raise StaleRefreshError(
                 f"subscription {sub.sub_id!r} cannot catch up: its "
                 "feeds kept advancing across 16 refresh rounds"
             )
 
-    def _refresh_delta(
-        self,
-        sub: Subscription,
-        base: Dict[str, int],
-        targets: Dict[str, int],
-        changed,
-    ) -> None:
-        """Delta refresh: run the plan with each changed leaf bound
-        to only the rows committed in ``[base, target)`` and every
-        unchanged feed pinned at its old watermark, then union/merge
-        into the standing answer."""
-        session = self.session
-        deltas: Dict[str, ScrubJayDataset] = {}
-        delta_rows = 0
-        for n in sorted(changed):
-            feed = session.feeds[n]
-            rows, _ = feed.source.append_scan(
-                base.get(n, 0), targets[n]
-            )
-            delta_rows += len(rows)
-            deltas[n] = ScrubJayDataset.from_rows(
-                session.ctx, rows, session.dataset(n).schema, n
-            )
-        pinned = {
-            n: base[n] for n in sub.feed_names
-            if n not in changed and n in base
-        }
-        result = sub.delta_plan.execute_delta(
-            self._pinned_catalog(pinned), deltas,
-            session.dictionary, columnar=self._columnar(),
-            columnar_off=self._columnar_off(),
-        )
-        if delta_rows:
-            with self._subs_lock:
-                self._stream_stats["refresh_rows"] += delta_rows
-            reg = getattr(session.ctx, "metrics", None)
-            if reg is not None:
+    def _count_refresh(self, mode: str, delta_rows: int = 0) -> None:
+        """Publish one committed refresh to the ``streams`` snapshot
+        block and the metrics registry."""
+        with self._subs_lock:
+            self._stream_stats[f"refresh_{mode}"] += 1
+            self._stream_stats["refresh_rows"] += delta_rows
+        reg = self.metrics.registry
+        if reg is not None:
+            reg.inc(f"stream.refresh.{mode}")
+            if delta_rows:
                 reg.inc("stream.refresh.rows", delta_rows)
-        if sub.aggregate is not None:
-            spec = sub.aggregate
-            part = group_aggregate_partials(
-                result, list(spec.group_by),
-                spec.value_field, spec.how,
-            )
-            sub._commit_delta(targets, partials=part)
-        else:
-            sub._commit_delta(targets, rows=result.collect())
-
-    def _refresh_replay(
-        self, sub: Subscription, targets: Dict[str, int]
-    ) -> None:
-        """Scoped replay: full recompute with every feed input
-        bounded at its target watermark, replacing the answer."""
-        session = self.session
-        result = sub.delta_plan.execute_full(
-            self._pinned_catalog({
-                n: targets[n] for n in sub.feed_names if n in targets
-            }),
-            session.dictionary,
-            columnar=self._columnar(),
-            columnar_off=self._columnar_off(),
-        )
-        if sub.aggregate is not None:
-            spec = sub.aggregate
-            part = group_aggregate_partials(
-                result, list(spec.group_by),
-                spec.value_field, spec.how,
-            )
-            sub._commit_replace(targets, partials=part)
-        else:
-            sub._commit_replace(targets, rows=result.collect())
 
     def cancel(self, ticket: QueryTicket) -> bool:
         """Cancel a still-queued ticket. Returns False once the query
@@ -1311,7 +1217,10 @@ class QueryService:
                 for n in names
             )
         ):
-            self.result_cache.put(rkey, result, datasets=names)
+            # serve the rows the cache just collected: collecting the
+            # lazy result again would execute the plan a second time
+            entry = self.result_cache.put(rkey, result, datasets=names)
+            return entry.to_dataset(session.ctx)
         return result
 
     # ------------------------------------------------------------------

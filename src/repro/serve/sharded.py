@@ -81,22 +81,17 @@ from repro.core.pipeline import LoadNode, ScanNode
 from repro.core.query import Query
 from repro.core.semantics import Schema
 from repro.errors import (
-    ScrubJayError,
-    ServiceError,
     ShardError,
     ShardRoutingError,
     ShardStaleReadError,
     ShardStateError,
     StaleRefreshError,
-    SubscriptionError,
 )
 from repro.rdd.shuffle import portable_hash
-from repro.serve.keys import normalize_query, plan_key
 from repro.serve.service import (
     AggregateSpec,
     QueryService,
     QueryTicket,
-    as_query,
 )
 from repro.serve.subscribe import Subscription
 from repro.serve.wire import (
@@ -1035,24 +1030,27 @@ class ShardRouter(QueryService):
         shard-local (delta where their plans allow); the router only
         re-gathers and re-merges. A metric ``query`` ships its full
         JSON to the shards, so each buckets its own plan and derives
-        the same spec."""
-        session = self.session
-        query = as_query(query, values, filters)
-        if query.is_metric and aggregate is not None:
-            raise ServiceError(
-                "a metric subscription derives its aggregate from "
-                "the measures; drop the AggregateSpec"
+        the same spec. Held under the fleet lock, so no advance can
+        land between the shard answers and the router's
+        registration."""
+        with self._fleet_lock:
+            return super().subscribe(
+                query, values, tenant, filters, aggregate
             )
-        state = session.state_fingerprint()
-        nq = normalize_query(query)
-        plan = self.plan_cache.get_or_solve(
-            plan_key(state, nq),
-            lambda: self._solve_serve_plan(nq),
-        )
-        dplan = DeltaPlan(plan)
-        feed_names = tuple(
-            n for n in dplan.dataset_names() if n in session.feeds
-        )
+
+    def _initial_answer(
+        self,
+        sub_id: str,
+        query: Query,
+        tenant: str,
+        dplan: DeltaPlan,
+        feed_names: Tuple[str, ...],
+        aggregate: Optional[AggregateSpec],
+        partial: bool,
+    ) -> Tuple[Dict[str, int], Any, Optional[AggregateSpec], Any, Any]:
+        """Subscribe on each primary shard and merge their answers;
+        the per-shard bookkeeping is kept for the updates-gather."""
+        session = self.session
         wire_values: List[Any] = []
         for t in query.values:
             if getattr(t, "units", None):
@@ -1070,7 +1068,7 @@ class ShardRouter(QueryService):
             # each shard rebuilds the bucketed plan and the spec from
             # the query itself; the router keeps the finalizing copy
             aggregate = AggregateSpec.for_metric_query(
-                plan.derive_schema(
+                dplan.plan.derive_schema(
                     session.schemas(), session.dictionary
                 ),
                 query,
@@ -1079,59 +1077,50 @@ class ShardRouter(QueryService):
         elif aggregate is not None:
             # the router merges, then finalizes
             req.update(aggregate.as_partial().to_wire())
-        with self._fleet_lock:
-            marks = {
-                n: session.feeds[n].watermark for n in feed_names
-            }
-            book: Dict[str, Any] = {
-                "shard_subs": {}, "versions": {},
-                "rows": {}, "partials": {},
-            }
-            schema: Optional[Schema] = None
-            for j in range(self.num_shards):
-                # Primary only: a subscription is stateful server-side,
-                # so its updates must keep hitting the same process.
-                resp = self._stream_request(self._fleet[j][0], req)
-                book["shard_subs"][j] = resp["sub_id"]
-                book["versions"][j] = resp["version"]
-                if schema is None and resp.get("schema") is not None:
-                    schema = Schema.from_json_dict(resp["schema"])
-                if aggregate is not None:
-                    book["partials"][j] = decode_groups(
-                        resp.get("groups") or [],
-                        list(aggregate.group_by),
-                        schema, session.dictionary,
-                        partial_how=aggregate.how,
-                    )
-                else:
-                    book["rows"][j] = decode_rows(
-                        resp.get("rows") or [], schema,
-                        session.dictionary,
-                    )
-            rows = partials = None
+        marks = {n: session.feeds[n].watermark for n in feed_names}
+        book: Dict[str, Any] = {
+            "shard_subs": {}, "versions": {},
+            "rows": {}, "partials": {},
+        }
+        schema: Optional[Schema] = None
+        for j in range(self.num_shards):
+            # Primary only: a subscription is stateful server-side,
+            # so its updates must keep hitting the same process.
+            resp = self._stream_request(self._fleet[j][0], req)
+            book["shard_subs"][j] = resp["sub_id"]
+            book["versions"][j] = resp["version"]
+            if schema is None and resp.get("schema") is not None:
+                schema = Schema.from_json_dict(resp["schema"])
             if aggregate is not None:
-                partials = {}
-                for part in book["partials"].values():
-                    merge_group_partials(partials, part, aggregate.how)
-            else:
-                rows = [
-                    r for j in sorted(book["rows"])
-                    for r in book["rows"][j]
-                ]
-            with self._subs_lock:
-                self._sub_counter += 1
-                sub_id = f"sub-{self._sub_counter}"
-                sub = Subscription(
-                    sub_id, tenant, query, plan, dplan, aggregate,
-                    feed_names, marks, schema,
-                    rows=rows, partials=partials,
+                book["partials"][j] = decode_groups(
+                    resp.get("groups") or [],
+                    list(aggregate.group_by),
+                    schema, session.dictionary,
+                    partial_how=aggregate.how,
                 )
-                self._subs[sub_id] = sub
-            self._router_subs[sub_id] = book
-        reg = self.metrics.registry
-        if reg is not None:
-            reg.inc("stream.subscribe")
-        return sub
+            else:
+                book["rows"][j] = decode_rows(
+                    resp.get("rows") or [], schema,
+                    session.dictionary,
+                )
+        self._router_subs[sub_id] = book
+        rows, partials = self._merged(book, aggregate)
+        return marks, schema, aggregate, rows, partials
+
+    @staticmethod
+    def _merged(
+        book: Dict[str, Any], aggregate: Optional[AggregateSpec]
+    ) -> Tuple[Any, Any]:
+        """The router-side answer from per-shard answers: merged
+        partials for an aggregate, concatenated rows otherwise."""
+        if aggregate is None:
+            return [
+                r for j in sorted(book["rows"]) for r in book["rows"][j]
+            ], None
+        merged: Dict[Tuple, Any] = {}
+        for part in book["partials"].values():
+            merge_group_partials(merged, part, aggregate.how)
+        return None, merged
 
     def unsubscribe(self, sub_id: str) -> bool:
         with self._fleet_lock:
@@ -1160,37 +1149,13 @@ class ShardRouter(QueryService):
         answers. Serialized under the fleet lock, so concurrent
         advances and refreshes can never interleave into a
         mixed-watermark answer."""
-        session = self.session
-        try:
-            feed = session.feed(name)
-        except ScrubJayError as exc:
-            raise SubscriptionError(str(exc)) from exc
         with self._fleet_lock:
-            adv = (
-                feed.push(rows) if rows is not None else feed.advance()
-            )
-            evicted = refreshed = 0
-            if adv.advanced:
-                self._fan_feed_rows(
-                    name, adv.rows, session.dataset(name).schema
-                )
-                evicted = self.result_cache.invalidate_dataset(name)
-                with self._subs_lock:
-                    dependents = [
-                        s for s in self._subs.values()
-                        if name in s.feed_names and not s.closed
-                    ]
-                for sub in dependents:
-                    if self._refresh_subscription(sub):
-                        refreshed += 1
-            return {
-                "name": name,
-                "since": adv.since,
-                "watermark": adv.watermark,
-                "rows_added": adv.rows_added,
-                "evicted": evicted,
-                "subscriptions_refreshed": refreshed,
-            }
+            return super().advance(name, rows)
+
+    def _feed_advanced(self, name: str, adv) -> None:
+        self._fan_feed_rows(
+            name, adv.rows, self.session.dataset(name).schema
+        )
 
     def _fan_feed_rows(
         self, name: str, rows: List[Dict[str, Any]], schema: Schema
@@ -1286,33 +1251,11 @@ class ShardRouter(QueryService):
                 if modes and all(m == "delta" for m in modes)
                 else "replay"
             )
-            if sub.aggregate is not None:
-                merged: Dict[Tuple, Any] = {}
-                for part in book["partials"].values():
-                    merge_group_partials(
-                        merged, part, sub.aggregate.how
-                    )
-                sub._commit_replace(targets, partials=merged, mode=mode)
-            else:
-                sub._commit_replace(
-                    targets,
-                    rows=[
-                        r for j in sorted(book["rows"])
-                        for r in book["rows"][j]
-                    ],
-                    mode=mode,
-                )
-            key = (
-                "refresh_delta" if mode == "delta" else "refresh_replay"
+            rows, partials = self._merged(book, sub.aggregate)
+            sub._commit_replace(
+                targets, rows=rows, partials=partials, mode=mode
             )
-            with self._subs_lock:
-                self._stream_stats[key] += 1
-            reg = self.metrics.registry
-            if reg is not None:
-                reg.inc(
-                    "stream.refresh.delta" if mode == "delta"
-                    else "stream.refresh.replay"
-                )
+            self._count_refresh(mode)
         return True
 
     # ------------------------------------------------------------------

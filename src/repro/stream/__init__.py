@@ -15,16 +15,23 @@ full replay. This package closes that gap:
   union-distributive, executes the plan over just the appended rows
   (delta execution); otherwise falls back to a scoped replay at the
   new watermark. Each choice lands as a
-  :class:`~repro.rdd.stats.DeltaDecision` on the ExecutionReport;
-- the serve layer builds standing-query subscriptions on these
-  (:meth:`repro.serve.QueryService.subscribe`).
+  :class:`~repro.rdd.stats.DeltaDecision` on the ExecutionReport.
+  :meth:`DeltaPlan.refresh` is the one refresh round (pin, classify,
+  delta or replay) that the serve layer's standing-query
+  subscriptions (:meth:`repro.serve.QueryService.subscribe`) and the
+  metrics layer's rollups both run.
 
 See DESIGN.md "Streaming & incremental derivation" for the watermark
 semantics and the delta-vs-replay decision table.
 """
 
 from repro.rdd.stats import DeltaDecision
-from repro.stream.delta import DELTA_SAFE_TRANSFORMS, DeltaPlan
+from repro.stream.delta import (
+    DELTA_SAFE_TRANSFORMS,
+    DeltaPlan,
+    RefreshRound,
+    pinned_catalog,
+)
 from repro.stream.feed import Feed, FeedAdvance
 
 __all__ = [
@@ -33,4 +40,6 @@ __all__ = [
     "DeltaPlan",
     "Feed",
     "FeedAdvance",
+    "RefreshRound",
+    "pinned_catalog",
 ]

@@ -29,7 +29,7 @@ ExecutionReport, so the incremental path is *asserted*, not assumed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.dataset import ScrubJayDataset
 from repro.core.pipeline import (
@@ -41,6 +41,7 @@ from repro.core.pipeline import (
     TransformNode,
 )
 from repro.errors import PipelineError
+from repro.rdd.rdd import ScanRDD
 from repro.rdd.stats import DeltaDecision
 
 #: transformations that are row-local — applying them to a union of
@@ -63,14 +64,55 @@ DELTA_SAFE_TRANSFORMS = frozenset({
 DELTA_SAFE_COMBINES = frozenset({"natural_join"})
 
 
+def pinned_catalog(
+    session, watermarks: Dict[str, int]
+) -> Dict[str, ScrubJayDataset]:
+    """The session catalog with each feed dataset in ``watermarks``
+    swapped for a frozen snapshot bounded at its watermark — execution
+    against it can never observe rows a concurrent writer appends
+    mid-flight (the no-mixed-watermark rule)."""
+    catalog = session.snapshot()
+    for name, mark in watermarks.items():
+        feed = session.feeds.get(name)
+        if feed is None:
+            continue
+        src = feed.source.bounded(mark)
+        src.name = name
+        ds = ScrubJayDataset(
+            ScanRDD(session.ctx, src),
+            src.schema(),
+            name,
+            provenance={"op": "scan",
+                        "source": type(src).__name__,
+                        "name": name, "bounded_at": mark},
+        )
+        ds.source = src
+        catalog[name] = ds
+    return catalog
+
+
+class RefreshRound(NamedTuple):
+    """The outcome of one :meth:`DeltaPlan.refresh` round."""
+
+    #: ``"delta"`` (fold ``dataset`` into the standing answer) or
+    #: ``"replay"`` (``dataset`` replaces it)
+    mode: str
+    #: every feed's watermark the new answer is pinned at
+    targets: Dict[str, int]
+    dataset: ScrubJayDataset
+    #: appended rows the delta path read (0 on replay)
+    delta_rows: int
+
+
 class DeltaPlan:
     """A :class:`DerivationPlan` plus its incremental-execution brain.
 
     ``classify(changed)`` decides delta vs replay for a set of changed
-    dataset names; ``execute_delta`` runs the plan with changed leaves
-    bound to delta-only datasets. The caller (the serve layer's
-    subscription refresh) owns the union/merge of the delta output
-    into the standing answer and the watermark bookkeeping.
+    dataset names; ``refresh`` runs one pinned round of either path.
+    This is the one refresh policy: the serve layer's subscriptions
+    and the metrics layer's rollups own only the union/merge (or
+    replace) of the round's output into their standing answer and
+    the watermark bookkeeping.
     """
 
     def __init__(self, plan: DerivationPlan) -> None:
@@ -153,43 +195,76 @@ class DeltaPlan:
 
     # -- execution -----------------------------------------------------
 
-    def execute_delta(
-        self,
-        base_catalog: Dict[str, ScrubJayDataset],
-        delta_datasets: Dict[str, ScrubJayDataset],
-        dictionary,
-        columnar: bool = False,
-        columnar_off=(),
-    ) -> ScrubJayDataset:
-        """Execute the plan with changed leaves bound to delta rows.
-
-        ``base_catalog`` supplies the *unchanged* inputs (for a join's
-        static side — pinned at their own watermarks by the caller);
-        ``delta_datasets`` maps each changed name to a dataset holding
-        only the rows appended in the refresh interval. No derivation
-        cache is used: delta bindings share plan fingerprints with the
-        full bindings, so caching here would poison full executions.
-        """
-        catalog = dict(base_catalog)
-        catalog.update(delta_datasets)
-        return self.plan.execute(
-            catalog, dictionary, None, columnar=columnar,
-            columnar_off=columnar_off,
+    def feed_names(self, session) -> Tuple[str, ...]:
+        """The plan inputs that are live feeds of ``session``."""
+        return tuple(
+            n for n in self.dataset_names() if n in session.feeds
         )
 
-    def execute_full(
-        self,
-        catalog: Dict[str, ScrubJayDataset],
-        dictionary,
-        columnar: bool = False,
-        columnar_off=(),
+    def execute_pinned(
+        self, session, watermarks: Dict[str, int]
     ) -> ScrubJayDataset:
-        """Scoped replay: full execution against a catalog whose feed
-        inputs the caller has pinned (bounded) at the target
-        watermarks — never against live, still-growing sources."""
-        return self.plan.execute(
-            catalog, dictionary, None, columnar=columnar,
-            columnar_off=columnar_off,
+        """Full execution with every feed in ``watermarks`` bounded at
+        its mark — never against live, still-growing sources. This is
+        both a standing answer's initial computation and the scoped
+        replay."""
+        return session._execute(
+            self.plan, pinned_catalog(session, watermarks)
+        )
+
+    def refresh(
+        self,
+        session,
+        feed_names: Sequence[str],
+        watermarks: Dict[str, int],
+    ) -> Optional[RefreshRound]:
+        """One refresh round from the answer pinned at ``watermarks``
+        to the feeds' current watermarks, or None when no feed moved.
+
+        Classifies the changed feeds and records the decisions on the
+        session's ExecutionReport. On ``"delta"`` the plan runs with
+        each changed leaf bound to only the rows committed in
+        ``[old mark, target)`` and every unchanged feed pinned at its
+        old mark; the caller unions/merges the output into the
+        standing answer. On ``"replay"`` the whole plan runs at the
+        target marks and the output replaces the answer. No
+        derivation cache is used: delta bindings share plan
+        fingerprints with full bindings, so caching would poison full
+        executions.
+        """
+        targets = dict(watermarks)
+        changed = set()
+        for n in feed_names:
+            feed = session.feeds.get(n)
+            if feed is None:
+                continue
+            targets[n] = feed.watermark
+            if targets[n] != watermarks.get(n):
+                changed.add(n)
+        if not changed:
+            return None
+        mode, decisions = self.classify(changed)
+        self.record(getattr(session.ctx, "report", None), decisions)
+        if mode != "delta":
+            return RefreshRound(
+                mode, targets, self.execute_pinned(session, targets), 0
+            )
+        catalog = pinned_catalog(session, {
+            n: watermarks[n] for n in feed_names
+            if n not in changed and n in watermarks
+        })
+        delta_rows = 0
+        for n in sorted(changed):
+            rows, _ = session.feeds[n].source.append_scan(
+                watermarks.get(n, 0), targets[n]
+            )
+            delta_rows += len(rows)
+            catalog[n] = ScrubJayDataset.from_rows(
+                session.ctx, rows, session.dataset(n).schema, n
+            )
+        return RefreshRound(
+            mode, targets, session._execute(self.plan, catalog),
+            delta_rows,
         )
 
     def record(self, report, decisions: List[DeltaDecision]) -> None:

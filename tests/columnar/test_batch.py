@@ -123,6 +123,15 @@ def test_batches_pickle_round_trip():
     assert clone.cols["s"].kind == "dict"
 
 
+def test_take_keeps_dictionary_codes_typed():
+    rows = [{"s": f"s{i % 3}", "a": float(i)} for i in range(6)]
+    taken = ColumnBatch.from_rows(rows).take([4, 1, 1])
+    col = taken.cols["s"]
+    assert col.kind == "dict" and col.data.typecode == "q"
+    assert taken.to_rows() == [rows[4], rows[1], rows[1]]
+    assert taken.approx_bytes() > 0
+
+
 def test_approx_bytes_positive_and_monotonic():
     small = ColumnBatch.from_rows([{"a": 1.0}])
     big = ColumnBatch.from_rows([{"a": float(i)} for i in range(1000)])

@@ -190,3 +190,26 @@ def test_sparse_rows_survive_join():
     finally:
         col.close()
         row.close()
+
+
+def test_explain_analyze_string_keyed_join_matches_row_path():
+    """Measure mode gathers dictionary-encoded columns through the
+    join; the columnar EXPLAIN ANALYZE must complete and count the
+    same root rows as the row path."""
+    layout = [{"node": f"n{r['node']}", "rack": f"r{r['rack']}"}
+              for r in layout_rows()]
+    temps = [dict(r, rack=f"r{r['rack']}") for r in temps_rows()]
+
+    def root_rows(columnar):
+        s = ScrubJaySession(TuningProfile(columnar=columnar))
+        try:
+            s.register_rows(layout, LAYOUT_SCHEMA, "node_layout")
+            s.register_rows(temps, TEMPS_SCHEMA, "rack_temperatures")
+            text = s.explain(domains=["compute nodes", "time"],
+                             values=["temperature"], analyze=True)
+        finally:
+            s.close()
+        root = next(ln for ln in text.splitlines() if "[rows=" in ln)
+        return int(root.split("[rows=")[1].split(";")[0])
+
+    assert root_rows(True) == root_rows(False) > 0

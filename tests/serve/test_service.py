@@ -432,3 +432,18 @@ def test_result_not_published_when_catalog_moves_mid_query(serve_session):
 def test_session_serve_entry_point(serve_session):
     with serve_session.serve(num_workers=1) as svc:
         assert svc.query(HOT_DOMAINS, HOT_VALUES).count() > 0
+
+
+def test_cold_answer_executes_the_plan_once(serve_session):
+    """The cold path publishes the collected rows to the result cache
+    and serves those same rows: reading the answer must not run the
+    plan's join a second time."""
+    report = serve_session.ctx.report
+    with QueryService(serve_session, num_workers=1) as svc:
+        report.clear()
+        rows = svc.query(JOIN_DOMAINS, JOIN_VALUES).collect()
+        assert rows and len(report.joins()) == 1
+        assert row_multiset(rows) == row_multiset(
+            svc.query(JOIN_DOMAINS, JOIN_VALUES).collect()
+        )
+        assert len(report.joins()) == 1  # the warm read is a cache hit

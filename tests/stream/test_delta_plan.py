@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from repro import Query, ScrubJayDataset, ScrubJaySession
+from repro import Query, ScrubJaySession
 from repro.core.pipeline import (
     CombineNode,
     DerivationPlan,
@@ -123,14 +123,16 @@ def test_unchanged_branch_is_not_examined():
 
 
 def test_delta_union_base_equals_full_replay(feed_session):
-    sj, left, _right = feed_session
+    sj, _left, _right = feed_session
     feed = sj.feed("samples")
     plan = sj.plan(Query.of(JOIN_DOMAINS, JOIN_VALUES))
     dp = DeltaPlan(plan)
     assert dp.classify({"samples"})[0] == "delta"
+    feeds = dp.feed_names(sj)
+    assert feeds == ("samples",)
 
-    base_catalog = dict(sj.snapshot())
-    base_rows = dp.execute_full(base_catalog, sj.dictionary).collect()
+    base = {"samples": feed.watermark}
+    base_rows = dp.execute_pinned(sj, base).collect()
 
     delta = [
         {"node": i % 8, "sample": 1000 + i, "metric_a": 1.0 + i}
@@ -138,16 +140,16 @@ def test_delta_union_base_equals_full_replay(feed_session):
     ]
     feed.push(delta)
 
-    delta_ds = ScrubJayDataset.from_rows(
-        sj.ctx, delta, KEYED_LEFT_SCHEMA, "samples"
-    )
-    delta_out = dp.execute_delta(
-        base_catalog, {"samples": delta_ds}, sj.dictionary
-    ).collect()
-    replay = dp.execute_full(dict(sj.snapshot()), sj.dictionary).collect()
+    rnd = dp.refresh(sj, feeds, base)
+    assert rnd.mode == "delta" and rnd.delta_rows == len(delta)
+    assert rnd.targets == {"samples": feed.watermark}
+    delta_out = rnd.dataset.collect()
+    replay = dp.execute_pinned(sj, rnd.targets).collect()
     assert row_multiset(base_rows + delta_out) == row_multiset(replay)
     # and the delta execution really only touched the appended rows
     assert len(delta_out) == len(delta)
+    # nothing moved since: no round to run
+    assert dp.refresh(sj, feeds, rnd.targets) is None
 
 
 # ----------------------------------------------------------------------

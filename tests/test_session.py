@@ -123,25 +123,18 @@ def test_session_forwards_adaptive_knobs():
     sj.ctx.stop()
 
 
-def test_legacy_flat_kwargs_shim_warns_and_folds():
-    """Pre-profile flat kwargs still work for one release, each
-    construction warning once and folding into the profile."""
-    from repro import AdaptiveConfig
-
-    cfg = AdaptiveConfig(target_partition_rows=99)
-    with pytest.warns(DeprecationWarning, match="flat ScrubJaySession"):
-        sj = ScrubJaySession(adaptive=cfg, broadcast_threshold=123)
-    assert sj.ctx.adaptive.target_partition_rows == 99
-    assert sj.ctx.adaptive.broadcast_threshold_bytes == 123
-    assert sj.profile.provenance(
-        "adaptive.broadcast_threshold_bytes") == "user-pinned"
-    sj.ctx.stop()
-
-    with pytest.warns(DeprecationWarning, match="executor="):
-        sj = ScrubJaySession(executor="threads")
-    assert sj.profile.get("executor.kind") == "threads"
-    sj.ctx.stop()
-
+def test_session_construction_takes_knobs_only_on_the_profile():
+    """A flat keyword, a non-profile first argument and an executor
+    kind name are each rejected, the typed errors pointing at
+    TuningProfile."""
     from repro.errors import ConfigError
-    with pytest.raises(ConfigError, match="unknown ScrubJaySession"):
+
+    with pytest.raises(TypeError, match="bogus_knob"):
         ScrubJaySession(bogus_knob=1)
+    with pytest.raises(TypeError, match="broadcast_threshold"):
+        ScrubJaySession(broadcast_threshold=123)
+    with pytest.raises(ConfigError, match="TuningProfile"):
+        ScrubJaySession(object())
+    with pytest.raises(ConfigError, match="TuningProfile") as ei:
+        ScrubJaySession(executor="threads")
+    assert ei.value.knob == "executor.kind"
